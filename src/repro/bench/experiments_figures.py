@@ -172,9 +172,8 @@ def run_fig2(
 
     cuts = [find_cuts(counts[j], n_points=x.shape[0]) for j in range(2)]
     partition = PrimaryPartition(depth, cuts)
-    intervals = partition.intervals_for(bins)
-    codes = partition.cell_codes(intervals)
-    table = GlobalClusterTable.from_points(codes)
+    codes = partition.codes_for_bins(bins, depth)
+    table = GlobalClusterTable.from_points(codes, n_cells=partition.n_cells)
     labels = table.lookup(codes)
     cells = partition.decode_cells(table.codes)
     chosen_score = histogram_ch_index(counts, partition.cuts, cells)
@@ -204,9 +203,9 @@ def run_fig2(
     }
     for name, alt in alternatives.items():
         p = PrimaryPartition(depth, alt)
-        iv = p.intervals_for(bins)
-        cd = p.cell_codes(iv)
-        tb = GlobalClusterTable.from_points(cd)
+        tb = GlobalClusterTable.from_points(
+            p.codes_for_bins(bins, depth), n_cells=p.n_cells
+        )
         score = histogram_ch_index(counts, p.cuts, p.decode_cells(tb.codes))
         out.alternative_scores[name] = score
     return out

@@ -163,6 +163,7 @@ def keybin2_spmd(
             )
         else:
             kept = np.ones(projected.shape[1], dtype=bool)
+        kept_bins = np.asfortranarray(deep_bins[:, kept], dtype=np.intp)
 
         for d in depths:
             counts_kept = global_hist[d][kept]
@@ -187,10 +188,10 @@ def keybin2_spmd(
                     for j in range(counts_kept.shape[0])
                 ]
             partition = PrimaryPartition(d, cuts)
-            bins_d = deep_bins if d == deepest else prefix_bins(deep_bins, deepest, d)
-            intervals = partition.intervals_for(bins_d[:, kept])
-            codes = partition.cell_codes(intervals)
-            local_table = GlobalClusterTable.from_points(codes)
+            codes = partition.codes_for_bins(kept_bins, deepest)
+            local_table = GlobalClusterTable.from_points(
+                codes, n_cells=partition.n_cells
+            )
 
             # Union of occupied cells across ranks (tiny payload).
             tables = comm.gather((local_table.codes, local_table.sizes), root=0)
@@ -203,7 +204,6 @@ def keybin2_spmd(
                 payload = None
             g_codes, g_sizes = comm.bcast(payload, root=0)
             table = GlobalClusterTable(g_codes, g_sizes)
-            labels = table.lookup(codes)
 
             cell_intervals = partition.decode_cells(table.codes)
             score = histogram_ch_index(counts_kept, partition.cuts, cell_intervals)
@@ -220,7 +220,7 @@ def keybin2_spmd(
                     meta={"trial": trial, "consolidation": consolidation,
                           "ranks": comm.size},
                 ),
-                "labels": labels,
+                "codes": codes,
                 "score": score,
                 "n_clusters": table.n_clusters,
             }
@@ -232,7 +232,9 @@ def keybin2_spmd(
 
     chosen = best if best is not None else fallback
     assert chosen is not None
-    return chosen["labels"], chosen["model"]
+    # Only the winning candidate labels the local points.
+    model = chosen["model"]
+    return model.table.lookup(chosen["codes"]), model
 
 
 class DistributedFitResult:

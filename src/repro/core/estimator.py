@@ -34,7 +34,8 @@ from repro.core.projection import projection_matrix, target_dimension, PROJECTIO
 from repro.errors import NotFittedError, ValidationError
 from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices, prefix_bins
+from repro.kernels.keys import bin_indices
+from repro.kernels.keys import prefix_bins  # noqa: F401 - perfbench's traced fit patches it here
 from repro.kernels.project import project_points
 from repro.util.rng import SeedLike, spawn_generators
 from repro.util.validation import check_array_2d, check_finite
@@ -267,11 +268,17 @@ class KeyBin2:
             projected, space.r_min, space.r_max, deepest, engine=self.engine
         )
 
-        # Histograms at every candidate depth from the single deep binning.
-        counts_by_depth = {}
-        for d in depths:
-            b = deep_bins if d == deepest else prefix_bins(deep_bins, deepest, d)
-            counts_by_depth[d] = accumulate_histogram(b, 1 << d, engine=self.engine)
+        # One histogram at the deepest depth; a depth-d bin is a deepest
+        # bin >> (deepest - d), so every shallower histogram is an exact
+        # integer reshape-sum over 2^(deepest-d)-wide groups.
+        deep_counts = accumulate_histogram(deep_bins, 1 << deepest, engine=self.engine)
+        n_dims = deep_counts.shape[0]
+        counts_by_depth = {
+            d: deep_counts if d == deepest else deep_counts.reshape(
+                n_dims, 1 << d, 1 << (deepest - d)
+            ).sum(axis=2)
+            for d in depths
+        }
 
         if self.collapse:
             kept = collapse_dimensions(
@@ -281,6 +288,9 @@ class KeyBin2:
             )
         else:
             kept = np.ones(projected.shape[1], dtype=bool)
+        # Column-major kept bins: each candidate's cell codes are one
+        # contiguous table gather per dimension.
+        kept_bins = np.asfortranarray(deep_bins[:, kept], dtype=np.intp)
 
         best_for_trial: Optional[Dict[str, Any]] = None
         for d in depths:
@@ -295,10 +305,8 @@ class KeyBin2:
                 for j in range(counts_kept.shape[0])
             ]
             partition = PrimaryPartition(d, cuts)
-            bins_d = deep_bins if d == deepest else prefix_bins(deep_bins, deepest, d)
-            intervals = partition.intervals_for(bins_d[:, kept])
-            codes = partition.cell_codes(intervals)
-            table = GlobalClusterTable.from_points(codes)
+            codes = partition.codes_for_bins(kept_bins, deepest)
+            table = GlobalClusterTable.from_points(codes, n_cells=partition.n_cells)
             if self.min_cluster_fraction > 0.0 and table.n_clusters > 1:
                 min_size = int(np.ceil(self.min_cluster_fraction * m))
                 keep_cells = table.sizes >= min_size
@@ -306,7 +314,6 @@ class KeyBin2:
                     table = GlobalClusterTable(
                         table.codes[keep_cells], table.sizes[keep_cells]
                     )
-            labels = table.lookup(codes)
             cell_intervals = partition.decode_cells(table.codes)
             score = histogram_ch_index(counts_kept, partition.cuts, cell_intervals)
             candidate = {
@@ -321,7 +328,7 @@ class KeyBin2:
                     n_points_fit=m,
                     meta={"trial": trial},
                 ),
-                "labels": labels,
+                "codes": codes,
                 "score": score,
                 "depth": d,
                 "n_clusters": table.n_clusters,
@@ -333,6 +340,9 @@ class KeyBin2:
             ):
                 best_for_trial = candidate
         assert best_for_trial is not None
+        # Only the trial's winner labels its points.
+        codes = best_for_trial.pop("codes")
+        best_for_trial["labels"] = best_for_trial["model"].table.lookup(codes)
         return best_for_trial
 
     # -- inference ------------------------------------------------------------------

@@ -102,9 +102,8 @@ class KeyBin1:
             threshold_cuts(counts[j], self.density_threshold) for j in range(n)
         ]
         partition = PrimaryPartition(self.depth, cuts)
-        intervals = partition.intervals_for(bins)
-        codes = partition.cell_codes(intervals)
-        table = GlobalClusterTable.from_points(codes)
+        codes = partition.codes_for_bins(bins, self.depth)
+        table = GlobalClusterTable.from_points(codes, n_cells=partition.n_cells)
         self.labels_ = table.lookup(codes)
         self.model_ = KeyBin2Model(
             projection=None,

@@ -124,11 +124,9 @@ class KeyBin2Model:
         kept = projected[:, self.kept_dims]
         kept_range_min = self.space.r_min[self.kept_dims]
         kept_range_max = self.space.r_max[self.kept_dims]
-        bins = bin_indices(
-            kept, kept_range_min, kept_range_max, self.partition.depth, engine=engine
-        )
-        intervals = self.partition.intervals_for(bins)
-        return self.partition.cell_codes(intervals)
+        depth = self.partition.depth
+        bins = bin_indices(kept, kept_range_min, kept_range_max, depth, engine=engine)
+        return self.partition.codes_for_bins(bins, depth)
 
     def predict(
         self, x: np.ndarray, engine: Optional[KernelEngine] = None

@@ -6,19 +6,34 @@ primary clusters forms the interval grid; the *occupied* cells of that grid
 are the global clusters. Points map to cells through their keys alone, so
 assignment is embarrassingly parallel and the cell table (a few integers
 per cluster) is all that ranks must share to label consistently.
+
+Labelling runs at histogram scale: a point's cell code is a sum of one
+per-dimension term, and each term depends only on the point's bin along
+that dimension. :meth:`PrimaryPartition.codes_for_bins` therefore
+tabulates the term once per bin value (``2^depth`` entries per dimension)
+and labels M points with one gather-and-add per dimension, and
+:meth:`GlobalClusterTable.from_points` counts occupied cells with a
+``bincount`` over the grid instead of sorting the M codes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.kernels.keys import prefix_bins
 from repro.kernels.labels import intervals_for_bins
 
 __all__ = ["PrimaryPartition", "GlobalClusterTable"]
+
+#: Deepest bin grid :meth:`PrimaryPartition.codes_for_bins` tabulates:
+#: 2^16 int64 entries are 512 KiB per dimension. Deeper bins are mapped
+#: point by point with :func:`~repro.kernels.labels.intervals_for_bins`.
+MAX_TABLE_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,12 @@ class PrimaryPartition:
             clean.append(arr)
         object.__setattr__(self, "depth", int(depth))
         object.__setattr__(self, "cuts", tuple(clean))
+        # bins_depth -> per-dimension code tables, built on first use.
+        object.__setattr__(self, "_code_tables", {})
+
+    def __reduce__(self):
+        # Ship the cuts, not the cached code tables.
+        return (PrimaryPartition, (self.depth, self.cuts))
 
     @property
     def n_dims(self) -> int:
@@ -64,8 +85,8 @@ class PrimaryPartition:
 
     @property
     def n_cells(self) -> int:
-        """Size of the full interval grid (occupied or not)."""
-        return int(np.prod(self.n_intervals))
+        """Size of the full interval grid (occupied or not), exactly."""
+        return math.prod(c.size + 1 for c in self.cuts)
 
     def intervals_for(self, bins: np.ndarray) -> np.ndarray:
         """Map (M × n_dims) bin indices to per-dimension interval ids."""
@@ -84,6 +105,57 @@ class PrimaryPartition:
             code *= radices[j]
             code += intervals[:, j].astype(np.int64)
         return code
+
+    def codes_for_bins(self, bins: np.ndarray, bins_depth: int) -> np.ndarray:
+        """Cell code of each row of (M × n_dims) bins taken at ``bins_depth``.
+
+        Equal to ``cell_codes(intervals_for(prefix_bins(bins, bins_depth,
+        depth)))``, but the per-point work is one table gather and one add
+        per dimension: the mixed-radix code is ``Σ_j stride_j · interval_j``
+        and ``stride_j · interval_j`` is tabulated over the ``2^bins_depth``
+        possible bin values. Column-major (Fortran-ordered) ``bins`` make
+        every gather read contiguous memory. Bins deeper than
+        :data:`MAX_TABLE_DEPTH` take the per-point searchsorted kernel.
+        """
+        bins = np.asarray(bins)
+        if bins.ndim != 2 or bins.shape[1] != self.n_dims:
+            raise ValidationError(
+                f"expected (M × {self.n_dims}) bins, got {bins.shape}"
+            )
+        if bins_depth < self.depth:
+            raise ValidationError(
+                f"bins_depth ({bins_depth}) is shallower than the partition "
+                f"depth ({self.depth})"
+            )
+        if bins_depth > MAX_TABLE_DEPTH:
+            shallow = prefix_bins(bins, bins_depth, self.depth)
+            return self.cell_codes(self.intervals_for(shallow))
+        tables = self._tables_for(bins_depth)
+        if not tables:
+            return np.zeros(bins.shape[0], dtype=np.int64)
+        codes = np.take(tables[0], bins[:, 0])
+        for j in range(1, self.n_dims):
+            codes += np.take(tables[j], bins[:, j])
+        return codes
+
+    def _tables_for(self, bins_depth: int) -> Tuple[np.ndarray, ...]:
+        """Per-dimension ``stride_j · interval_j`` over every bin value."""
+        cache: Dict[int, Tuple[np.ndarray, ...]] = self._code_tables
+        tables = cache.get(bins_depth)
+        if tables is None:
+            radices = self.n_intervals
+            # stride_j = Π_{k>j} radix_k (int64, wrapping like cell_codes).
+            strides = np.append(np.cumprod(radices[:0:-1])[::-1], 1)
+            shallow = prefix_bins(
+                np.arange(1 << bins_depth, dtype=np.int64), bins_depth, self.depth
+            )
+            tables = tuple(
+                strides[j] * np.searchsorted(c, shallow, side="left")
+                for j, c in enumerate(self.cuts)
+            )
+            # Racing builders compute identical tables; either may win.
+            cache[bins_depth] = tables
+        return tables
 
     def decode_cells(self, codes: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`cell_codes`: (|codes| × n_dims) interval ids."""
@@ -121,11 +193,37 @@ class GlobalClusterTable:
             raise ValidationError("sizes must align with codes")
 
     @classmethod
-    def from_points(cls, codes_of_points: np.ndarray) -> "GlobalClusterTable":
-        """Build the table from the per-point cell codes seen during fit."""
-        codes, sizes = np.unique(np.asarray(codes_of_points, dtype=np.int64),
-                                 return_counts=True)
-        return cls(codes, sizes)
+    def from_points(
+        cls,
+        codes_of_points: np.ndarray,
+        n_cells: Optional[int] = None,
+        weights: Optional[np.ndarray] = None,
+    ) -> "GlobalClusterTable":
+        """Build the table from the per-point cell codes seen during fit.
+
+        ``weights`` (one per code) replaces the point count of a cell with
+        the sum of its codes' weights — the streaming path weights each
+        key by its multiplicity; the sums must be whole numbers below
+        2^53. ``n_cells`` promises ``0 <= code < n_cells``: when the grid
+        is no larger than the code array the cells are counted with one
+        ``bincount`` over the grid, otherwise with a sort, so a wide grid
+        never allocates more than the codes themselves.
+        """
+        codes = np.asarray(codes_of_points, dtype=np.int64).ravel()
+        if n_cells is not None and n_cells <= codes.size:
+            occupancy = np.bincount(codes, minlength=n_cells)
+            cells = np.flatnonzero(occupancy)
+            if weights is None:
+                return cls(cells, occupancy[cells])
+            sums = np.bincount(codes, weights=weights, minlength=n_cells)[cells]
+        else:
+            cells, inverse, sizes = np.unique(
+                codes, return_inverse=True, return_counts=True
+            )
+            if weights is None:
+                return cls(cells, sizes)
+            sums = np.bincount(inverse, weights=weights, minlength=cells.size)
+        return cls(cells, sums.astype(np.int64))
 
     @property
     def n_clusters(self) -> int:
@@ -136,6 +234,14 @@ class GlobalClusterTable:
         pts = np.asarray(codes_of_points, dtype=np.int64)
         if self.codes.size == 0:
             return np.full(pts.shape, -1, dtype=np.int64)
+        top = int(self.codes[-1])
+        if self.codes[0] >= 0 and top < pts.size:
+            # Dense code → label map, no larger than the query: one gather
+            # instead of a binary search per point. Slot 0 and slot top+2
+            # catch (clipped) codes outside [0, top] as unseen.
+            dense = np.full(top + 3, -1, dtype=np.int64)
+            dense[self.codes + 1] = np.arange(self.codes.size)
+            return np.take(dense, pts + 1, mode="clip")
         pos = np.searchsorted(self.codes, pts)
         pos_clipped = np.clip(pos, 0, self.codes.size - 1)
         hit = self.codes[pos_clipped] == pts

@@ -1062,6 +1062,10 @@ class StreamingKeyBin2:
                 else:
                     kept = np.ones(state.space.n_dims, dtype=bool)
             deep_keys, key_counts = state.keys.to_arrays()
+            kept_keys = (
+                np.asfortranarray(deep_keys[:, kept], dtype=np.intp)
+                if deep_keys.size else None
+            )
             for d in self.candidate_depths:
                 counts_kept = state.hist[d][kept]
                 cuts = [
@@ -1073,14 +1077,11 @@ class StreamingKeyBin2:
                     for j in range(counts_kept.shape[0])
                 ]
                 partition = PrimaryPartition(d, cuts)
-                if deep_keys.size:
-                    bins_d = deep_keys[:, kept].astype(np.int32) >> (deepest - d)
-                    intervals = partition.intervals_for(bins_d)
-                    codes = partition.cell_codes(intervals)
-                    uniq_codes, inverse = np.unique(codes, return_inverse=True)
-                    sizes = np.zeros(uniq_codes.size, dtype=np.int64)
-                    np.add.at(sizes, inverse, key_counts)
-                    table = GlobalClusterTable(uniq_codes, sizes)
+                if kept_keys is not None:
+                    codes = partition.codes_for_bins(kept_keys, deepest)
+                    table = GlobalClusterTable.from_points(
+                        codes, n_cells=partition.n_cells, weights=key_counts
+                    )
                 else:  # no keys survived (pathological capacity)
                     table = GlobalClusterTable(np.empty(0, dtype=np.int64))
                 cell_intervals = partition.decode_cells(table.codes)

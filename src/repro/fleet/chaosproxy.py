@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError, ValidationError
+from repro.serve.wire import LINE_LIMIT
 
 __all__ = [
     "Partition",
@@ -56,9 +57,6 @@ __all__ = [
     "chaos_proxy_in_thread",
 ]
 
-#: Stream limit for proxied lines — batch predicts exceed asyncio's 64 KiB
-#: default; the proxy must never be the layer that caps request size.
-_LINE_LIMIT = 4 * 1024 * 1024
 _READ_CHUNK = 65536
 
 
@@ -312,7 +310,7 @@ class ChaosProxy:
             raise ServeError("chaos proxy already started")
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=_LINE_LIMIT
+            self._handle, self.host, self.port, limit=LINE_LIMIT
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
 
@@ -341,7 +339,7 @@ class ChaosProxy:
         try:
             up_reader, up_writer = await asyncio.wait_for(
                 asyncio.open_connection(
-                    self.upstream_host, self.upstream_port, limit=_LINE_LIMIT
+                    self.upstream_host, self.upstream_port, limit=LINE_LIMIT
                 ),
                 self.connect_timeout,
             )

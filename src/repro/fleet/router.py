@@ -67,6 +67,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.reqtrace import NOOP_SPAN, get_tracer, inject
 from repro.serve.admission import RetryBudget
 from repro.serve.client import PROBE_TIMEOUT_S, async_probe
+from repro.serve.wire import LINE_LIMIT, LINE_TOO_LONG_REPLY, read_line
 
 __all__ = ["FleetRouter", "RouterHandle", "router_in_thread"]
 
@@ -115,7 +116,7 @@ class _ConnPool:
             return conn
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
+                asyncio.open_connection(self.host, self.port, limit=LINE_LIMIT),
                 self.connect_timeout,
             )
         except (OSError, asyncio.TimeoutError) as exc:
@@ -501,7 +502,7 @@ class FleetRouter:
         self._shutdown = asyncio.Event()
         self._admin_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=LINE_LIMIT
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
         self._health_task = asyncio.ensure_future(self._health_loop())
@@ -623,8 +624,12 @@ class FleetRouter:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
-                if not line or not line.endswith(b"\n"):
+                line = await read_line(reader)
+                if line is None:  # over-limit line, already skipped
+                    writer.write(LINE_TOO_LONG_REPLY)
+                    await writer.drain()
+                    continue
+                if not line.endswith(b"\n"):
                     break
                 response, stop_after = await self._route_line(line)
                 writer.write(response)

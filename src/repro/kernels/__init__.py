@@ -55,7 +55,7 @@ from repro.kernels.fused import (
     fused_partial_fit,
     project_bin_count,
 )
-from repro.kernels.labels import intervals_for_bins, combine_interval_labels
+from repro.kernels.labels import intervals_for_bins
 
 __all__ = [
     "KernelEngine",
@@ -82,5 +82,4 @@ __all__ = [
     "fused_partial_fit",
     "project_bin_count",
     "intervals_for_bins",
-    "combine_interval_labels",
 ]

@@ -46,8 +46,11 @@ def bin_scale(
     place is what keeps the two paths bit-identical.
 
     Returns 1-D float64 ``(r_min, scale)`` vectors. A dimension whose span
-    underflows the divide is effectively constant and gets scale 0 (all
-    values map into bin 0) instead of propagating inf/nan.
+    is so small that the scale of the deepest allowed grid (2^62 bins)
+    overflows is effectively constant and gets scale 0 (all values map
+    into bin 0) at *every* depth, instead of propagating inf/nan. Deciding
+    that per depth would bin such a dimension at shallow depths but not
+    at deep ones, breaking the prefix property of :func:`prefix_bins`.
     """
     if depth < 1 or depth > 62:
         raise ValidationError(f"depth must be in [1, 62], got {depth}")
@@ -75,7 +78,7 @@ def bin_scale(
     n_bins = 1 << depth
     with np.errstate(over="ignore"):
         scale = n_bins / span
-    scale[~np.isfinite(scale)] = 0.0
+        scale[~np.isfinite(float(1 << 62) / span)] = 0.0
     return r_min, scale
 
 

@@ -1,11 +1,13 @@
-"""Key → cluster-label mapping kernels (paper §3, step 5).
+"""Key → cluster-label mapping kernel (paper §3, step 5).
 
 Once the partitioning step has produced per-dimension cut locations, each
 point's bin index maps to a per-dimension *interval* id (which primary
 cluster it falls into along that dimension) via ``searchsorted``; the tuple
-of interval ids across dimensions identifies the global cluster. Interval
-tuples are packed into one integer so global assignment is a vectorized
-``unique``/table lookup, never a pairwise comparison.
+of interval ids across dimensions identifies the global cluster.
+:class:`~repro.core.primary.PrimaryPartition` packs the tuple into one
+mixed-radix cell code. This per-point kernel is the reference for its
+table-driven :meth:`~repro.core.primary.PrimaryPartition.codes_for_bins`
+and serves bin grids too deep to tabulate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.kernels.engine import KernelEngine
 
-__all__ = ["intervals_for_bins", "combine_interval_labels"]
+__all__ = ["intervals_for_bins"]
 
 
 def intervals_for_bins(
@@ -53,32 +55,3 @@ def intervals_for_bins(
     if engine is None:
         return kernel(bins)
     return engine.map(kernel, bins, out_shape=bins.shape, out_dtype=np.int32)
-
-
-def combine_interval_labels(
-    intervals: np.ndarray,
-    n_intervals: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse per-dimension interval ids into dense global cluster labels.
-
-    Returns ``(labels, codes)`` where ``labels`` is an (M,) int64 array of
-    dense cluster ids (0..n_clusters-1, ordered by first occurrence of the
-    mixed-radix code) and ``codes`` is the sorted array of occupied
-    mixed-radix codes — the global cluster table that the distributed driver
-    broadcasts so every rank labels consistently.
-    """
-    intervals = np.asarray(intervals)
-    if intervals.ndim != 2:
-        raise ValidationError("combine_interval_labels needs a 2-D array")
-    radices = np.asarray(list(n_intervals), dtype=np.int64)
-    if radices.shape[0] != intervals.shape[1]:
-        raise ValidationError("n_intervals length must match dimensions")
-    if np.any(radices < 1):
-        raise ValidationError("every dimension needs at least one interval")
-    # Mixed-radix packing: code = ((i0 * r1 + i1) * r2 + i2) ...
-    code = np.zeros(intervals.shape[0], dtype=np.int64)
-    for j in range(intervals.shape[1]):
-        code *= radices[j]
-        code += intervals[:, j].astype(np.int64)
-    codes, labels = np.unique(code, return_inverse=True)
-    return labels.astype(np.int64), codes

@@ -33,6 +33,7 @@ from repro.errors import (
 )
 from repro.obs import default_registry
 from repro.obs.reqtrace import get_tracer, inject
+from repro.serve.wire import LINE_LIMIT
 
 __all__ = ["ServeClient", "AsyncServeClient", "PredictResult", "probe",
            "async_probe", "PROBE_TIMEOUT_S"]
@@ -380,7 +381,7 @@ class AsyncServeClient:
     async def connect(self) -> "AsyncServeClient":
         try:
             self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
+                self.host, self.port, limit=LINE_LIMIT
             )
         except OSError as exc:
             raise ServeError(

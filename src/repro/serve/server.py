@@ -78,6 +78,7 @@ from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.cache import LabelCache
 from repro.serve.registry import ModelRecord, ModelRegistry
 from repro.serve.stats import ServeStats
+from repro.serve.wire import LINE_LIMIT, LINE_TOO_LONG_REPLY, read_line
 
 __all__ = ["InferenceService", "ModelServer", "ServerHandle", "serve_in_thread"]
 
@@ -232,7 +233,7 @@ class ModelServer:
         self._shutdown = asyncio.Event()
         self.batcher.start()
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=LINE_LIMIT
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
 
@@ -280,7 +281,12 @@ class ModelServer:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                line = await read_line(reader)
+                if line is None:  # over-limit line, already skipped
+                    self.stats.record_error()
+                    writer.write(LINE_TOO_LONG_REPLY)
+                    await writer.drain()
+                    continue
                 if not line:
                     break
                 # _busy covers dispatch through response write, so a drain

@@ -20,6 +20,7 @@ from repro.errors import (
 from repro.fleet import ReplicaSupervisor, TenantQuotaPolicy, TenantQuotas, router_in_thread
 from repro.obs.report import fleet_table
 from repro.serve import ServeClient
+from repro.serve.wire import LINE_LIMIT
 
 
 def _routed_ok_counts(client):
@@ -128,6 +129,34 @@ def test_malformed_line_gets_error_response(thread_fleet):
         line = sock.makefile("rb").readline()
     payload = json.loads(line)
     assert payload["ok"] is False and "malformed" in payload["error"]
+
+
+def test_bulk_predict_over_64kib_matches_offline(
+        thread_fleet, small_gaussians, fleet_model):
+    """A 256-row predict (~85 KB line) crosses router and replica."""
+    _, handle = thread_fleet
+    x, _ = small_gaussians
+    assert len(json.dumps({"op": "predict", "x": x[:256].tolist()})) > 65536
+    with ServeClient(*handle.address) as client:
+        result = client.predict(x[:256])
+    assert result.labels == [int(v) for v in fleet_model.predict(x[:256])]
+
+
+def test_over_limit_line_is_typed_error_and_connection_survives(
+        thread_fleet, small_gaussians, fleet_model):
+    _, handle = thread_fleet
+    x, _ = small_gaussians
+    with socket.create_connection(handle.address, timeout=10.0) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(b"x" * (LINE_LIMIT + 10) + b"\n")
+        stream.write(json.dumps({"op": "predict", "x": x[:4].tolist()}).encode()
+                     + b"\n")
+        stream.flush()
+        first = json.loads(stream.readline())
+        second = json.loads(stream.readline())
+    assert first["ok"] is False and first["err"] == "line_too_long"
+    assert second["ok"] is True
+    assert second["labels"] == [int(v) for v in fleet_model.predict(x[:4])]
 
 
 def test_killed_replica_fails_over_without_client_error(

@@ -114,6 +114,13 @@ class TestPrefixBins:
                 prefix_bins(deepest, 8, d), bin_indices(x, lo, hi, d)
             )
 
+    def test_hierarchy_holds_for_subnormal_span(self):
+        """A span whose depth-2 scale overflows is constant at every depth."""
+        x = np.array([[0.0], [1.11253693e-308]])
+        lo, hi = [-1.11253693e-310], [1.1236623e-308]
+        deep = bin_indices(x, lo, hi, 2)
+        assert np.array_equal(prefix_bins(deep, 2, 1), bin_indices(x, lo, hi, 1))
+
 
 class TestBinIndicesAtDepths:
     def test_returns_all_requested(self, rng):

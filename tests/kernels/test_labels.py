@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.errors import ValidationError
 from repro.kernels.engine import KernelEngine
-from repro.kernels.labels import combine_interval_labels, intervals_for_bins
+from repro.kernels.labels import intervals_for_bins
 
 
 class TestIntervalsForBins:
@@ -43,32 +44,41 @@ class TestIntervalsForBins:
 
 
 class TestCombineIntervalLabels:
+    """Interval tuples → mixed-radix cell codes → dense labels, the way
+    every fit path combines them (``PrimaryPartition.cell_codes`` plus
+    ``GlobalClusterTable``)."""
+
+    @staticmethod
+    def _partition(radices):
+        # r intervals along a dimension = r - 1 cuts at depth 4.
+        return PrimaryPartition(4, [np.arange(r - 1) for r in radices])
+
     def test_dense_labels(self):
         iv = np.array([[0, 0], [0, 1], [0, 0], [1, 1]], dtype=np.int32)
-        labels, codes = combine_interval_labels(iv, [2, 2])
-        assert labels.tolist() == [0, 1, 0, 2]
-        assert codes.tolist() == [0, 1, 3]
+        codes = self._partition([2, 2]).cell_codes(iv)
+        table = GlobalClusterTable.from_points(codes)
+        assert table.lookup(codes).tolist() == [0, 1, 0, 2]
+        assert table.codes.tolist() == [0, 1, 3]
 
     def test_codes_sorted_unique(self, rng):
         iv = rng.integers(0, 3, (100, 3)).astype(np.int32)
-        labels, codes = combine_interval_labels(iv, [3, 3, 3])
-        assert np.all(np.diff(codes) > 0)
-        assert labels.max() == codes.size - 1
+        codes = self._partition([3, 3, 3]).cell_codes(iv)
+        table = GlobalClusterTable.from_points(codes)
+        assert np.all(np.diff(table.codes) > 0)
+        assert table.lookup(codes).max() == table.n_clusters - 1
 
     def test_mixed_radix_injective(self, rng):
         radices = [3, 5, 2]
         iv = np.stack(
             [rng.integers(0, r, 200) for r in radices], axis=1
         ).astype(np.int32)
-        labels, codes = combine_interval_labels(iv, radices)
-        # Two rows share a label iff they are identical.
+        codes = self._partition(radices).cell_codes(iv)
+        # Two rows share a code iff they are identical.
         uniq_rows = np.unique(iv, axis=0)
-        assert codes.size == uniq_rows.shape[0]
+        assert np.unique(codes).size == uniq_rows.shape[0]
 
     def test_radix_mismatch(self):
         with pytest.raises(ValidationError):
-            combine_interval_labels(np.zeros((2, 2), dtype=np.int32), [2])
-
-    def test_zero_radix_rejected(self):
-        with pytest.raises(ValidationError):
-            combine_interval_labels(np.zeros((2, 2), dtype=np.int32), [2, 0])
+            self._partition([2, 2]).codes_for_bins(
+                np.zeros((2, 3), dtype=np.int32), 4
+            )

@@ -17,6 +17,7 @@ from repro.serve import (
     run_open_loop,
     serve_in_thread,
 )
+from repro.serve.wire import LINE_LIMIT
 
 
 @pytest.fixture()
@@ -81,6 +82,23 @@ class TestProtocol:
         response = json.loads(client._file.readline())
         assert response["ok"] is False
         assert "malformed" in response["error"]
+
+    def test_bulk_predict_over_64kib(self, live, small_gaussians, served_model):
+        """256 rows are ~85 KB on the wire, past asyncio's default limit."""
+        _, _, client = live
+        x, _ = small_gaussians
+        assert len(json.dumps({"op": "predict", "x": x[:256].tolist()})) > 65536
+        result = client.predict(x[:256])
+        assert result.labels == [int(v) for v in served_model.predict(x[:256])]
+
+    def test_over_limit_line_is_typed_error_and_connection_survives(self, live):
+        _, _, client = live
+        client._file.write(b"x" * (LINE_LIMIT + 10) + b"\n")
+        client._file.flush()
+        response = json.loads(client._file.readline())
+        assert response["ok"] is False
+        assert response["err"] == "line_too_long"
+        assert client.healthz()["status"] == "serving"
 
     def test_unknown_op_is_clean_error(self, live):
         _, _, client = live
